@@ -40,6 +40,8 @@ var fixtureCases = []struct {
 	{"panicmsg_main", "nocsim/cmd/probe"},
 	{"hotalloc", "nocsim/internal/noc/fixt"},
 	{"hotalloc_clean", "nocsim/internal/noc/fixt"},
+	{"hotalloc_cache", "nocsim/internal/cache"},
+	{"hotalloc_cache_clean", "nocsim/internal/cache"},
 	{"atomicmix", "nocsim/internal/fab"},
 	{"atomicmix_clean", "nocsim/internal/fab"},
 	{"handleleak", "nocsim/internal/noc/leakfix"},

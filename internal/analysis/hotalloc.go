@@ -6,13 +6,18 @@ import (
 	"go/types"
 )
 
-// hotallocNocRoots names the per-cycle entry points of package
-// internal/noc itself, which has no Step method: every NIC and FlitPool
-// method a fabric calls on each cycle's hot path.
-var hotallocNocRoots = map[string]bool{
-	"Send": true, "Receive": true, "Alloc": true, "Free": true, "Get": true,
-	"Head": true, "Pop": true, "HeadRequest": true, "HeadReply": true,
-	"PopRequest": true, "PopReply": true,
+// hotallocRoots names, per package, the per-cycle methods that are hot
+// roots besides Step. internal/noc has no Step method: its roots are
+// every NIC and FlitPool method a fabric calls on each cycle's hot
+// path. internal/cache's are the L1 lookups every core memory access
+// makes.
+var hotallocRoots = map[string]map[string]bool{
+	"internal/noc": {
+		"Send": true, "Receive": true, "Alloc": true, "Free": true, "Get": true,
+		"Head": true, "Pop": true, "HeadRequest": true, "HeadReply": true,
+		"PopRequest": true, "PopReply": true,
+	},
+	"internal/cache": {"Access": true, "AccessRW": true, "Probe": true},
 }
 
 // hotallocAllow names the sanctioned growth points: functions that run
@@ -22,17 +27,19 @@ var hotallocNocRoots = map[string]bool{
 var hotallocAllow = map[string]bool{"Reserve": true}
 
 // HotAlloc forbids heap-allocating constructs in any function reachable
-// from a fabric Step method, a barrier-phase worker, or the per-cycle
-// NIC/pool entry points of internal/noc. The zero-steady-state-allocs
+// from a fabric Step method, a barrier-phase worker, the per-cycle
+// NIC/pool entry points of internal/noc, or the L1 lookups of
+// internal/cache. The zero-steady-state-allocs
 // property is what keeps cycle cost flat at 64x64+ and the GC out of
 // the measurement loop; this rule catches a reintroduced allocation at
 // review time instead of as an opaque allocs-per-cycle bump.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "no heap-allocating constructs reachable from Step/per-cycle functions in internal/noc/...",
+	Doc:  "no heap-allocating constructs reachable from Step/per-cycle functions in internal/noc/... and internal/cache",
 	Explain: `The simulator's hot path — everything reachable from a fabric's Step
-method, from a barrier-phase worker registered with (*par.Pool).Run, or
-from the per-cycle NIC/FlitPool entry points of internal/noc — must not
+method, from a barrier-phase worker registered with (*par.Pool).Run,
+from the per-cycle NIC/FlitPool entry points of internal/noc, or from
+the L1 lookups of internal/cache (Access, AccessRW, Probe) — must not
 allocate in steady state (PR 6's TestZeroSteadyStateAllocs pins this at
 runtime; hotalloc pins it at review time).
 
@@ -51,14 +58,14 @@ points (NIC queue doubling, free-list push with capacity pre-reserved),
 where the allocation provably stops once the structure reaches its
 high-water mark.`,
 	Run: func(pass *Pass) {
-		if pass.Info == nil || !underSeg(pass.Rel(), "internal/noc") {
+		if pass.Info == nil || !(underSeg(pass.Rel(), "internal/noc") || pass.Rel() == "internal/cache") {
 			return
 		}
 		decls := collectFuncs(pass)
+		pkgRoots := hotallocRoots[pass.Rel()]
 		var roots []*types.Func
 		for _, d := range sortedDecls(decls) {
-			if d.fn.Name() == "Step" ||
-				(pass.Rel() == "internal/noc" && d.decl.Recv != nil && hotallocNocRoots[d.fn.Name()]) {
+			if d.fn.Name() == "Step" || (d.decl.Recv != nil && pkgRoots[d.fn.Name()]) {
 				roots = append(roots, d.fn)
 			}
 		}

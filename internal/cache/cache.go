@@ -32,29 +32,45 @@ func (c *L1Config) setDefaults() {
 	}
 }
 
+// Per-line meta byte: bit 0 valid, bit 1 dirty, bits 2-7 the line's
+// LRU rank among its set's valid lines (0 = most recently used). An
+// invalid line's meta is zero.
+const (
+	metaValid = 1 << 0
+	metaDirty = 1 << 1
+	rankShift = 2
+	rankOne   = 1 << rankShift
+	flagMask  = rankOne - 1
+)
+
+// maxWays is the largest associativity the rank field can order.
+const maxWays = 1 << (8 - rankShift)
+
 // L1 is a set-associative write-allocate cache with true-LRU replacement.
-// It models hit/miss behaviour only; data values are not stored.
+// It models hit/miss behaviour only; data values are not stored. Each
+// line is a tag plus one meta byte (valid, dirty, LRU rank), so the
+// valid lines of a set always hold the ranks 0..k-1 exactly once.
 type L1 struct {
 	sets      int
 	ways      int
 	blockBits uint
 	setMask   uint64
 	tags      []uint64
-	valid     []bool
-	dirty     []bool
-	stamp     []uint64 // per-line LRU timestamp
-	clock     uint64
+	meta      []uint8
 
 	hits, misses, writebacks int64
 }
 
-// NewL1 builds an L1 cache. It panics on non-power-of-two geometry.
+// NewL1 builds an L1 cache. It panics on non-power-of-two geometry and
+// on more ways than the rank field can order (64).
 func NewL1(cfg L1Config) *L1 {
 	cfg.setDefaults()
 	if cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
 		panic("cache: block size must be a power of two")
 	}
-	// dirty tracking is allocated eagerly; it costs one bool per line.
+	if cfg.Ways > maxWays {
+		panic(fmt.Sprintf("cache: %d ways exceed the LRU rank field's %d", cfg.Ways, maxWays))
+	}
 	blocks := cfg.SizeBytes / cfg.BlockBytes
 	if blocks == 0 || blocks%cfg.Ways != 0 {
 		panic(fmt.Sprintf("cache: bad geometry %d bytes / %d-way / %dB blocks",
@@ -74,9 +90,7 @@ func NewL1(cfg L1Config) *L1 {
 		blockBits: bb,
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, blocks),
-		valid:     make([]bool, blocks),
-		dirty:     make([]bool, blocks),
-		stamp:     make([]uint64, blocks),
+		meta:      make([]uint8, blocks),
 	}
 }
 
@@ -104,40 +118,68 @@ func (c *L1) Access(addr uint64) bool {
 // dirty (write-allocate, write-back). When a miss evicts a dirty line,
 // wb is true and wbAddr is the evicted block's address — the simulator
 // turns it into a one-way writeback packet to the block's home slice.
+// A miss fills the set's last invalid way, or else evicts its least
+// recently used line.
 func (c *L1) AccessRW(addr uint64, write bool) (hit bool, wbAddr uint64, wb bool) {
-	c.clock++
 	block := addr >> c.blockBits
 	base := int(block&c.setMask) * c.ways
-	victim := base
-	oldest := ^uint64(0)
-	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tags[i] == block {
-			c.stamp[i] = c.clock
-			if write {
-				c.dirty[i] = true
-			}
+	set := c.meta[base : base+c.ways]
+	tags := c.tags[base : base+c.ways]
+	dirty := uint8(0)
+	if write {
+		dirty = metaDirty
+	}
+	for i, m := range set {
+		if tags[i] == block && m&metaValid != 0 {
+			age(set, m&^flagMask)
+			set[i] = m&metaDirty | dirty | metaValid
 			c.hits++
 			return true, 0, false
 		}
-		if !c.valid[i] {
-			victim = i
-			oldest = 0
-		} else if c.stamp[i] < oldest {
-			victim = i
-			oldest = c.stamp[i]
-		}
 	}
 	c.misses++
-	if c.valid[victim] && c.dirty[victim] {
+	// A full set's valid lines hold every rank, so its least recently
+	// used line is the one of rank ways-1.
+	lruRank := uint8(c.ways-1) << rankShift
+	invalid, lru := -1, 0
+	for i, m := range set {
+		if m&metaValid == 0 {
+			invalid = i
+		}
+		if m >= lruRank {
+			lru = i
+		}
+	}
+	victim := lru
+	if invalid >= 0 {
+		victim = invalid
+	} else if set[victim]&metaDirty != 0 {
 		wb = true
-		wbAddr = c.tags[victim] << c.blockBits
+		wbAddr = tags[victim] << c.blockBits
 		c.writebacks++
 	}
-	c.tags[victim] = block
-	c.valid[victim] = true
-	c.dirty[victim] = write
-	c.stamp[victim] = c.clock
+	// Every valid line ages; the victim is overwritten below.
+	for i, m := range set {
+		set[i] = m + (m&metaValid)<<rankShift
+	}
+	tags[victim] = block
+	set[victim] = dirty | metaValid
 	return false, wbAddr, wb
+}
+
+// age adds one to the rank of every valid line of set whose meta byte
+// is below bound: bound is the rank bits of the line becoming most
+// recently used, so exactly the lines used more recently than it age.
+func age(set []uint8, bound uint8) {
+	if bound == 0 {
+		return
+	}
+	for i, m := range set {
+		// Branch-free m-1 < bound-1, which is m < bound for a valid
+		// line; an invalid line's 0 wraps to 0xFF and never ages.
+		lt := (uint32(m-1) - uint32(bound-1)) >> 31
+		set[i] = m + uint8(lt)<<rankShift
+	}
 }
 
 // Warm inserts addr's block without touching the hit/miss counters;
@@ -154,7 +196,7 @@ func (c *L1) Probe(addr uint64) bool {
 	block := addr >> c.blockBits
 	base := int(block&c.setMask) * c.ways
 	for i := base; i < base+c.ways; i++ {
-		if c.valid[i] && c.tags[i] == block {
+		if c.meta[i]&metaValid != 0 && c.tags[i] == block {
 			return true
 		}
 	}
@@ -181,9 +223,6 @@ func (c *L1) MissRate() float64 {
 
 // Reset clears contents and counters.
 func (c *L1) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
-	}
-	c.hits, c.misses, c.writebacks, c.clock = 0, 0, 0, 0
+	clear(c.meta)
+	c.hits, c.misses, c.writebacks = 0, 0, 0
 }

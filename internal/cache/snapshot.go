@@ -1,22 +1,25 @@
 package cache
 
 import (
+	"encoding/binary"
+	"math/bits"
+
 	"nocsim/internal/rng"
 	"nocsim/internal/snap"
 )
 
 // Checkpoint codec for the L1 model and the stochastic address
 // mappers. L1 geometry (sets/ways/masks) is construction-derived; only
-// contents, LRU clocks and counters are encoded. The mappers' topology
-// and member tables are likewise construction-derived — their only
-// mutable state is the per-source random streams (and, for Locality,
-// a scratch buffer that every draw rewrites from scratch).
+// the valid lines (tag and meta byte, which carries the LRU rank) and
+// the counters are encoded. The mappers' topology and member tables
+// are likewise construction-derived — their only mutable state is the
+// per-source random streams (and, for Locality, a scratch buffer that
+// every draw rewrites from scratch).
 
 func init() {
 	snap.Cover(L1{}, snap.Coverage{
 		Serialized: []string{
-			"tags", "valid", "dirty", "stamp", "clock",
-			"hits", "misses", "writebacks",
+			"tags", "meta", "hits", "misses", "writebacks",
 		},
 		Waived: map[string]string{
 			"sets":      "construction: derived from L1Config",
@@ -66,52 +69,115 @@ const (
 	tagMapper = 0x13
 )
 
-// Snapshot encodes the cache's contents and counters.
+// l1FixedBytes is the L1 section's size apart from its lines: the
+// section tag, the line count and the three counters.
+const l1FixedBytes = 2 + 4 + 3*8
+
+// Snapshot encodes the cache's contents and counters: a bitmap of the
+// valid lines, then each valid line's tag and meta byte in line order.
+// Invalid lines carry no state, so they cost one bit each.
 func (c *L1) Snapshot(w *snap.Writer) {
+	n := len(c.meta)
+	w.Grow(l1FixedBytes + (n+7)/8)
 	w.Tag(tagL1)
-	w.U32(uint32(len(c.tags)))
-	for _, t := range c.tags {
-		w.U64(t)
+	w.U32(uint32(n))
+	start := w.Len()
+	valid := 0
+	for i := 0; i < n; i += 8 {
+		b := validBits(c.meta[i:min(i+8, n)])
+		valid += bits.OnesCount8(b)
+		w.U8(b)
 	}
-	for _, v := range c.valid {
-		w.Bool(v)
+	w.Grow(9 * valid)
+	for i, b := range w.Bytes()[start : start+(n+7)/8] {
+		for ; b != 0; b &= b - 1 {
+			line := 8*i + bits.TrailingZeros8(b)
+			w.U64(c.tags[line])
+			w.U8(c.meta[line])
+		}
 	}
-	for _, d := range c.dirty {
-		w.Bool(d)
-	}
-	for _, s := range c.stamp {
-		w.U64(s)
-	}
-	w.U64(c.clock)
 	w.I64(c.hits)
 	w.I64(c.misses)
 	w.I64(c.writebacks)
 }
 
+// validBits gathers the valid bits of up to eight meta bytes into one
+// bitmap byte, bit j for meta[j]. A full group is one 64-bit load: the
+// multiply moves bit 0 of byte j to bit 56+j, and no two partial
+// products overlap, so nothing carries into the top byte.
+func validBits(meta []uint8) uint8 {
+	if len(meta) == 8 {
+		x := binary.LittleEndian.Uint64(meta) & 0x0101010101010101
+		return uint8(x * 0x0102040810204080 >> 56)
+	}
+	var b uint8
+	for j, m := range meta {
+		b |= (m & metaValid) << j
+	}
+	return b
+}
+
 // Restore overlays contents captured by Snapshot onto a cache
-// constructed with the same geometry.
+// constructed with the same geometry. Lines the blob marks invalid are
+// cleared, whatever the fresh cache was pre-warmed with. Each set's
+// ranks must be a permutation of 0..k-1 over its k valid lines.
 func (c *L1) Restore(r *snap.Reader) {
 	r.Expect(tagL1)
-	if n := int(r.U32()); n != len(c.tags) {
-		r.Failf("L1 lines %d, want %d", n, len(c.tags))
+	n := int(r.U32())
+	if r.Err() != nil {
 		return
 	}
-	for i := range c.tags {
-		c.tags[i] = r.U64()
+	if n != len(c.meta) {
+		r.Failf("L1 lines %d, want %d", n, len(c.meta))
+		return
 	}
-	for i := range c.valid {
-		c.valid[i] = r.Bool()
+	valid := r.Raw((n + 7) / 8)
+	if valid == nil {
+		return
 	}
-	for i := range c.dirty {
-		c.dirty[i] = r.Bool()
+	if n%8 != 0 && valid[len(valid)-1]>>(n%8) != 0 {
+		r.Failf("L1 valid bitmap has bits past line %d", n)
+		return
 	}
-	for i := range c.stamp {
-		c.stamp[i] = r.U64()
+	clear(c.meta)
+	set, ranks, k := 0, uint64(0), 0 // the set being filled and its ranks so far
+	for i, b := range valid {
+		for ; b != 0; b &= b - 1 {
+			line := 8*i + bits.TrailingZeros8(b)
+			if s := line / c.ways; s != set {
+				if !ranksComplete(r, set, ranks, k) {
+					return
+				}
+				set, ranks, k = s, 0, 0
+			}
+			c.tags[line] = r.U64()
+			m := r.U8()
+			rank := int(m >> rankShift)
+			if m&metaValid == 0 || rank >= c.ways {
+				r.Failf("L1 line %d: bad meta byte %#x", line, m)
+				return
+			}
+			c.meta[line] = m
+			ranks |= 1 << rank
+			k++
+		}
 	}
-	c.clock = r.U64()
+	if !ranksComplete(r, set, ranks, k) {
+		return
+	}
 	c.hits = r.I64()
 	c.misses = r.I64()
 	c.writebacks = r.I64()
+}
+
+// ranksComplete reports whether the rank mask of a set's k valid lines
+// holds exactly the ranks 0..k-1, and fails the reader if not.
+func ranksComplete(r *snap.Reader, set int, ranks uint64, k int) bool {
+	if ranks != 1<<k-1 {
+		r.Failf("L1 set %d: LRU ranks %#x are not 0..%d", set, ranks, k-1)
+		return false
+	}
+	return true
 }
 
 // SnapshotMapper encodes the mutable state of a mapper constructed by

@@ -78,6 +78,9 @@ type coordinator struct {
 	peers    []*peer
 	closed   bool
 	preempts int64
+	// pushRejected counts preemption checkpoints a peer refused (or
+	// never received): each one makes the peer recompute the prefix.
+	pushRejected int64
 
 	wg        sync.WaitGroup
 	stopProbe chan struct{}
@@ -685,9 +688,9 @@ func (c *coordinator) preemptReady(t *task) bool {
 var peerMetrics = []string{"dispatched", "stolen", "retried", "dead"}
 
 // WriteMetrics renders the fleet section of /metrics: the live-peer
-// gauge, per-peer counters in configuration order, the preemption
-// counter and the dispatch-latency histogram — fixed order, pinned by
-// the format-stability test.
+// gauge, per-peer counters in configuration order, the preemption and
+// rejected-push counters and the dispatch-latency histogram — fixed
+// order, pinned by the format-stability test.
 func (c *coordinator) WriteMetrics(w io.Writer) {
 	c.mu.Lock()
 	live := 0
@@ -703,7 +706,7 @@ func (c *coordinator) WriteMetrics(w io.Writer) {
 		vals["retried"] = append(vals["retried"], p.retried)
 		vals["dead"] = append(vals["dead"], p.dead)
 	}
-	preempts := c.preempts
+	preempts, pushRejected := c.preempts, c.pushRejected
 	c.mu.Unlock()
 
 	fmt.Fprintf(w, "nocd_peers_live %d\n", live)
@@ -713,6 +716,7 @@ func (c *coordinator) WriteMetrics(w io.Writer) {
 		}
 	}
 	fmt.Fprintf(w, "nocd_fleet_preempted_total %d\n", preempts)
+	fmt.Fprintf(w, "nocd_fleet_push_rejected_total %d\n", pushRejected)
 	c.dispatch.Write(w)
 }
 

@@ -366,6 +366,68 @@ func TestFleetPreemptionHandoff(t *testing.T) {
 		t.Fatalf("preempted result not in the coordinator cache: %v", err)
 	}
 	if e.Manifest.WarmSource == "" || e.Manifest.WarmSource == "cold" {
-		t.Errorf("peer did not resume from the pushed checkpoint: warm source %q", e.Manifest.WarmSource)
+		t.Errorf("peer did not resume from the pushed checkpoint: warm source %q; log:\n%s",
+			e.Manifest.WarmSource, log.String())
+	}
+	if got := metricValue(t, scrapeMetrics(t, ts.URL), "nocd_fleet_push_rejected_total"); got != 0 {
+		t.Errorf("nocd_fleet_push_rejected_total = %d, want 0; log:\n%s", got, log.String())
+	}
+}
+
+// TestHandoffCycleZeroDispatchesPlainly drives handoff with a run whose
+// captured state is its start (cycle 0): there is nothing to push, so
+// the coordinator files and pushes no checkpoint, counts no rejected
+// push, and the peer runs the point from scratch to the reference hash.
+func TestHandoffCycleZeroDispatchesPlainly(t *testing.T) {
+	peerCfg := testServeConfig(t)
+	peerCfg.SnapDir = t.TempDir()
+	peerSrv, peerTS := startPeer(t, peerCfg)
+	coordCfg := testServeConfig(t)
+	coordCfg.SnapDir = t.TempDir()
+	coordSrv, fl, ts := startDaemon(t, coordCfg, Config{
+		Peers:         []string{peerTS.URL},
+		Window:        1,
+		ProbeInterval: 50 * time.Millisecond,
+		StealAfter:    -1,
+		Backoff:       time.Millisecond,
+	})
+
+	spec := runner.PlanSpec{
+		Scale: runner.ScaleSpec{Cycles: 2000, Epoch: 500},
+		Runs:  []runner.RunSpec{{Label: "zero", Preset: "controlled", Workload: "H", Width: 4, Height: 4}},
+	}
+	want := referenceHashes(t, SweepSpec{Scale: spec.Scale, Runs: spec.Runs})
+	sc, runs, err := spec.Resolve(testScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fl.co
+	tk := &task{
+		dj: serve.DelegatedJob{
+			ID: "cycle0", Scale: sc, Runs: runs,
+			Span: func(string, string, time.Time, time.Duration) {},
+		},
+		miss:      []int{0},
+		preemptTo: c.peers[0],
+	}
+	results := make([]serve.RunResult, 1)
+	if msg := c.handoff(tk, []int{0}, [][]byte{nil}, []int64{0}, results); msg != "" {
+		t.Fatalf("handoff: %s", msg)
+	}
+	if results[0].CountersHash != want["zero"] {
+		t.Errorf("hash %s, want %s", results[0].CountersHash, want["zero"])
+	}
+	if st := coordSrv.Snapshots().Stats(); st.Writes != 0 {
+		t.Errorf("coordinator filed %d checkpoints for a cycle-0 hand-off, want 0", st.Writes)
+	}
+	if got := metricValue(t, scrapeMetrics(t, ts.URL), "nocd_fleet_push_rejected_total"); got != 0 {
+		t.Errorf("nocd_fleet_push_rejected_total = %d, want 0", got)
+	}
+	e, err := peerSrv.Cache().Get(results[0].Key)
+	if err != nil || e == nil {
+		t.Fatalf("peer has no cache entry for the handed-off run: %v", err)
+	}
+	if e.Manifest.WarmSource != "cold" {
+		t.Errorf("peer warm source %q, want cold (nothing was pushed)", e.Manifest.WarmSource)
 	}
 }

@@ -80,8 +80,14 @@ func (c *coordinator) runLocal(t *task) ([]serve.RunResult, string) {
 		if cfg.Warmup == 0 {
 			// A warm-started run may not stop before its warmup cycle
 			// (the resume path requires checkpoint cycle >= warmup), so
-			// only cold runs are preemptable.
-			run.Cancel = func() bool { return c.preemptReady(t) }
+			// only cold runs are preemptable. The runner's first poll
+			// comes before the first window: the hook skips it, so a
+			// preemption never hands off the state the run started at.
+			polls := 0
+			run.Cancel = func() bool {
+				polls++
+				return polls > 1 && c.preemptReady(t)
+			}
 		}
 		plan.AddRun(run)
 	}
@@ -160,29 +166,17 @@ func (c *coordinator) finishRun(r runner.ResolvedRun, m sim.Metrics, elapsed tim
 func (c *coordinator) handoff(t *task, preempted []int, blobs [][]byte, blobCycles []int64, results []serve.RunResult) string {
 	p := t.preemptTo
 	dj := t.dj
-	snaps := c.srv.Snapshots()
 	spec := runner.PlanSpec{
 		Scale: runner.ScaleSpec{Epoch: dj.Scale.Epoch, Seed: dj.Scale.Seed},
 	}
 	for _, k := range preempted {
 		r := dj.Runs[t.miss[k]]
-		digest, err := runner.CacheKey(r.Config, 0)
-		if err != nil {
-			return fmt.Sprintf("fleet: keying checkpoint of %q: %v", r.Label, err)
-		}
-		stateKey, err := runner.CacheKey(r.Config, blobCycles[k])
-		if err != nil {
-			return fmt.Sprintf("fleet: keying checkpoint of %q: %v", r.Label, err)
-		}
-		if snaps != nil {
-			if err := snaps.Put(digest, blobCycles[k], stateKey, blobs[k]); err != nil {
-				c.logf("filing checkpoint of %q: %v", r.Label, err)
+		// A cycle-0 state is the run's start: nothing to push, so the
+		// peer simply runs it from scratch.
+		if blobCycles[k] > 0 {
+			if errMsg := c.pushCheckpoint(p, r, blobCycles[k], blobs[k]); errMsg != "" {
+				return errMsg
 			}
-		}
-		if err := p.client.PushSnapshot(digest, blobCycles[k], stateKey, blobs[k]); err != nil {
-			// Benign: the peer cold-starts and recomputes the prefix,
-			// with byte-identical results either way.
-			c.logf("pushing checkpoint of %q to %s: %v (peer will recompute)", r.Label, p.name, err)
 		}
 		raw, err := json.Marshal(&r.Config)
 		if err != nil {
@@ -227,6 +221,33 @@ func (c *coordinator) handoff(t *task, preempted []int, blobs [][]byte, blobCycl
 	c.logf("hand-off to %s failed: %v (finishing locally)", p.name, err)
 	c.markDead(p)
 	return c.finishLocally(t, preempted, results)
+}
+
+// pushCheckpoint files a preempted run's checkpoint locally and pushes
+// it to the peer taking the run over. A push the peer rejects is not
+// fatal — the peer recomputes the prefix, with the same hash but
+// wasted work — so it is logged and counted.
+func (c *coordinator) pushCheckpoint(p *peer, r runner.ResolvedRun, cycle int64, blob []byte) string {
+	digest, err := runner.CacheKey(r.Config, 0)
+	if err != nil {
+		return fmt.Sprintf("fleet: keying checkpoint of %q: %v", r.Label, err)
+	}
+	stateKey, err := runner.CacheKey(r.Config, cycle)
+	if err != nil {
+		return fmt.Sprintf("fleet: keying checkpoint of %q: %v", r.Label, err)
+	}
+	if snaps := c.srv.Snapshots(); snaps != nil {
+		if err := snaps.Put(digest, cycle, stateKey, blob); err != nil {
+			c.logf("filing checkpoint of %q: %v", r.Label, err)
+		}
+	}
+	if err := p.client.PushSnapshot(digest, cycle, stateKey, blob); err != nil {
+		c.logf("pushing checkpoint of %q to %s: %v (peer will recompute)", r.Label, p.name, err)
+		c.mu.Lock()
+		c.pushRejected++
+		c.mu.Unlock()
+	}
+	return ""
 }
 
 // markDead records a peer failure observed outside the worker path.

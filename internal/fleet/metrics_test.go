@@ -57,7 +57,7 @@ func TestMetricsFormatStability(t *testing.T) {
 		"nocd_queue_depth", "nocd_inflight_jobs", "nocd_jobs_total",
 		"nocd_snap_entries", "nocd_snap_bytes", "nocd_snap_hits_total",
 		"nocd_snap_misses_total", "nocd_snap_writes_total",
-		"nocd_snap_corrupt_total", "nocd_snap_evicted_total",
+		"nocd_snap_corrupt_total", "nocd_snap_stale_total", "nocd_snap_evicted_total",
 	}
 	want = append(want, histogramNames("nocd_queue_wait_seconds")...)
 	want = append(want, histogramNames("nocd_run_seconds")...)
@@ -70,7 +70,7 @@ func TestMetricsFormatStability(t *testing.T) {
 	for _, m := range []string{"dispatched", "stolen", "retried", "dead"} {
 		want = append(want, "nocd_peer_"+m+"_total", "nocd_peer_"+m+"_total")
 	}
-	want = append(want, "nocd_fleet_preempted_total")
+	want = append(want, "nocd_fleet_preempted_total", "nocd_fleet_push_rejected_total")
 	want = append(want, histogramNames("nocd_peer_dispatch_seconds")...)
 	if len(lines) < len(want) {
 		t.Fatalf("metrics page has %d lines, want at least %d", len(lines), len(want))

@@ -48,12 +48,13 @@ type Run struct {
 	// before the first cycle (on the worker goroutine). Service layers
 	// use it to attach streaming sinks to the run's collectors.
 	Start func(*sim.Sim)
-	// Cancel, when non-nil, is polled between windows of CancelEvery
-	// cycles (and between Stride windows); returning true stops the run
-	// early. A cancelled run's metrics cover only the cycles executed,
-	// so callers must treat them as partial and never cache them. The
-	// window split itself cannot change results: stepping is window-size
-	// invariant (Run(a) then Run(b) is Run(a+b)).
+	// Cancel, when non-nil, is polled before the first window and then
+	// between windows of CancelEvery cycles (and between Stride
+	// windows); returning true stops the run early. A cancelled run's
+	// metrics cover only the cycles executed, so callers must treat them
+	// as partial and never cache them. The window split itself cannot
+	// change results: stepping is window-size invariant (Run(a) then
+	// Run(b) is Run(a+b)).
 	Cancel func() bool
 	// CancelEvery is the Cancel polling granularity in cycles; 0 means
 	// 10_000. Ignored when Cancel is nil or Stride is set.

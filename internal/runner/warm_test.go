@@ -175,3 +175,45 @@ func TestSameConfigResume(t *testing.T) {
 		t.Errorf("resumed metrics differ from cold run:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestWarmStaleCheckpointRunsCold checks that a warm-prefix entry of an
+// older codec version (a store filled before the last snap.Version
+// bump) is a counted store miss: the plan recomputes the prefix instead
+// of failing to restore it, with the storeless counters hash.
+func TestWarmStaleCheckpointRunsCold(t *testing.T) {
+	sc := warmScale(t, 0)
+	w := warmWorkload(sc)
+	cfg := Controlled(w, 4, 4, sc)
+	digest := mustWarmDigest(cfg)
+	key, err := CacheKey(sim.NormalizeWarm(cfg), sc.Warmup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := []byte{'N', 'O', 'C', 'S', 'N', 'A', 'P', '1', 1, 0, 0, 0, 0xA7, 0x30}
+	if err := sc.Snapshots.Put(digest, sc.Warmup, key, v1); err != nil {
+		t.Fatal(err)
+	}
+	hash := func(sc Scale) string {
+		plan := NewPlan(sc)
+		plan.Add("stale/central", cfg, sc.Cycles)
+		m := plan.Execute()[0]
+		var retired int64
+		for _, r := range m.Retired {
+			retired += r
+		}
+		return obs.HashCounters(m.Net, retired, m.Misses)
+	}
+	storeless := sc
+	storeless.Snapshots = nil
+	want := hash(storeless)
+	if got := hash(sc); got != want {
+		t.Errorf("counters hash over a stale store %s, storeless %s", got, want)
+	}
+	st := sc.Snapshots.Stats()
+	if st.Stale != 1 || st.Hits != 0 {
+		t.Errorf("store stats %+v, want exactly 1 stale entry and no hit", st)
+	}
+	if st.Writes != 2 {
+		t.Errorf("store writes %d, want 2 (the stale entry, then the recomputed prefix)", st.Writes)
+	}
+}

@@ -114,7 +114,7 @@ func TestSnapMetrics(t *testing.T) {
 		"nocd_snap_entries ", "nocd_snap_bytes ",
 		"nocd_snap_hits_total ", "nocd_snap_misses_total ",
 		"nocd_snap_writes_total ", "nocd_snap_corrupt_total ",
-		"nocd_snap_evicted_total ",
+		"nocd_snap_stale_total ", "nocd_snap_evicted_total ",
 	} {
 		if !strings.Contains(string(page), want) {
 			t.Errorf("/metrics missing %q", want)
@@ -122,6 +122,9 @@ func TestSnapMetrics(t *testing.T) {
 	}
 	if !strings.Contains(string(page), "nocd_snap_writes_total 1") {
 		t.Errorf("expected one checkpoint write recorded, got page:\n%s", page)
+	}
+	if !strings.Contains(string(page), "nocd_snap_stale_total 0\n") {
+		t.Errorf("expected no stale checkpoints, got page:\n%s", page)
 	}
 
 	_, ts2 := startServer(t, testConfig(t))

@@ -521,6 +521,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "nocd_snap_misses_total %d\n", ss.Misses)
 		fmt.Fprintf(w, "nocd_snap_writes_total %d\n", ss.Writes)
 		fmt.Fprintf(w, "nocd_snap_corrupt_total %d\n", ss.Corrupt)
+		fmt.Fprintf(w, "nocd_snap_stale_total %d\n", ss.Stale)
 		fmt.Fprintf(w, "nocd_snap_evicted_total %d\n", ss.Evicted)
 	}
 	s.tele.write(w, s.snaps != nil)

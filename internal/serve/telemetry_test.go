@@ -68,7 +68,7 @@ func TestMetricsFormatStability(t *testing.T) {
 		"nocd_queue_depth", "nocd_inflight_jobs", "nocd_jobs_total",
 		"nocd_snap_entries", "nocd_snap_bytes", "nocd_snap_hits_total",
 		"nocd_snap_misses_total", "nocd_snap_writes_total",
-		"nocd_snap_corrupt_total", "nocd_snap_evicted_total",
+		"nocd_snap_corrupt_total", "nocd_snap_stale_total", "nocd_snap_evicted_total",
 	}
 	want = append(want, histogramNames("nocd_queue_wait_seconds")...)
 	want = append(want, histogramNames("nocd_run_seconds")...)

@@ -30,15 +30,18 @@
 package snap
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
-// Version is the codec version; bump on any incompatible layout change.
-const Version = 1
+// Version is the codec version; bump on any incompatible layout change
+// (and the digit that ends magic with it).
+const Version = 2
 
 // magic prefixes every snapshot blob.
-var magic = [8]byte{'N', 'O', 'C', 'S', 'N', 'A', 'P', '1'}
+var magic = [8]byte{'N', 'O', 'C', 'S', 'N', 'A', 'P', '2'}
 
 // sentinel precedes every section tag; a reader that lands anywhere
 // else in the byte stream will almost never see it, which turns codec
@@ -58,6 +61,16 @@ func NewWriter() *Writer {
 	w.buf = append(w.buf, magic[:]...)
 	w.U32(Version)
 	return w
+}
+
+// Grow makes room for n more bytes, so the next n bytes written append
+// without reallocating. Sections that know their size call it first.
+// It at least doubles the buffer when it must move it, so a blob built
+// from many presized sections is copied O(1) times per byte.
+func (w *Writer) Grow(n int) {
+	if cap(w.buf)-len(w.buf) < n {
+		w.buf = slices.Grow(w.buf, max(n, cap(w.buf)))
+	}
 }
 
 // Bytes returns the encoded blob. The slice aliases the writer's
@@ -128,18 +141,26 @@ type Reader struct {
 	err error
 }
 
+// CheckHeader reports whether b starts with this codec version's blob
+// header (magic + version). A blob of an older codec version fails it.
+func CheckHeader(b []byte) error {
+	if len(b) < len(magic)+4 || string(b[:len(magic)]) != string(magic[:]) {
+		n := min(len(b), len(magic))
+		return fmt.Errorf("snap: magic %q, want %q (not a snapshot blob of this codec version)", b[:n], magic[:])
+	}
+	if v := binary.LittleEndian.Uint32(b[len(magic):]); v != Version {
+		return fmt.Errorf("snap: version %d, want %d", v, Version)
+	}
+	return nil
+}
+
 // NewReader checks the blob header (magic + version) and positions the
 // reader after it.
 func NewReader(b []byte) (*Reader, error) {
-	r := &Reader{buf: b}
-	if len(b) < len(magic)+4 || string(b[:len(magic)]) != string(magic[:]) {
-		return nil, fmt.Errorf("snap: bad magic (not a snapshot blob)")
+	if err := CheckHeader(b); err != nil {
+		return nil, err
 	}
-	r.off = len(magic)
-	if v := r.U32(); v != Version {
-		return nil, fmt.Errorf("snap: version %d, want %d", v, Version)
-	}
-	return r, nil
+	return &Reader{buf: b, off: len(magic) + 4}, nil
 }
 
 // Err returns the first decode error, or nil.
@@ -182,6 +203,11 @@ func (r *Reader) U8() uint8 {
 	}
 	return b[0]
 }
+
+// Raw reads the next n bytes, written without a length prefix (for
+// fixed-size fields whose length the caller knows). The slice aliases
+// the reader's buffer; it is nil after a decode error.
+func (r *Reader) Raw(n int) []byte { return r.take(n) }
 
 // Bool reads a one-byte bool.
 func (r *Reader) Bool() bool { return r.U8() != 0 }

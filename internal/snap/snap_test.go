@@ -90,6 +90,67 @@ func TestReaderRejectsBadHeader(t *testing.T) {
 	}
 }
 
+// TestWriterGrowPreventsReallocation checks that after Grow(n) the next
+// n bytes of writes land in the same backing array.
+func TestWriterGrowPreventsReallocation(t *testing.T) {
+	w := NewWriter()
+	const n = 1 << 20 // well past NewWriter's initial capacity
+	w.Grow(n)
+	start, capacity := &w.Bytes()[:1][0], cap(w.Bytes())
+	for i := 0; i < n/9; i++ {
+		w.U64(uint64(i))
+		w.U8(uint8(i))
+	}
+	w.Tag(1)
+	if got := &w.Bytes()[:1][0]; got != start || cap(w.Bytes()) != capacity {
+		t.Errorf("writes after Grow(%d) reallocated the buffer (cap %d -> %d)", n, capacity, cap(w.Bytes()))
+	}
+	// The same writes without Grow do reallocate, so the check above
+	// has teeth.
+	w = NewWriter()
+	start = &w.Bytes()[:1][0]
+	for i := 0; i < n/9; i++ {
+		w.U64(uint64(i))
+		w.U8(uint8(i))
+	}
+	if &w.Bytes()[:1][0] == start {
+		t.Fatal("writes past NewWriter's capacity did not reallocate; the test needs a larger n")
+	}
+}
+
+func TestCheckHeaderRejectsOtherVersions(t *testing.T) {
+	if err := CheckHeader(NewWriter().Bytes()); err != nil {
+		t.Errorf("current header rejected: %v", err)
+	}
+	v1 := []byte{'N', 'O', 'C', 'S', 'N', 'A', 'P', '1', 1, 0, 0, 0}
+	if err := CheckHeader(v1); err == nil {
+		t.Error("NOCSNAP1 header accepted")
+	}
+	if _, err := NewReader(v1); err == nil {
+		t.Error("NewReader accepted a NOCSNAP1 blob")
+	}
+	if err := CheckHeader([]byte("NOC")); err == nil {
+		t.Error("short blob accepted")
+	}
+}
+
+func TestReaderRaw(t *testing.T) {
+	w := NewWriter()
+	w.U8(1)
+	w.U8(2)
+	w.U8(3)
+	r, err := NewReader(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Raw(2); string(got) != "\x01\x02" {
+		t.Errorf("Raw(2) = %v", got)
+	}
+	if got := r.Raw(2); got != nil || r.Err() == nil {
+		t.Errorf("Raw past the end = %v, err %v; want nil and a truncation error", got, r.Err())
+	}
+}
+
 func TestReaderTruncation(t *testing.T) {
 	w := NewWriter()
 	w.U64(7)
@@ -158,6 +219,14 @@ func TestCoverPanicsOnUnknownField(t *testing.T) {
 	Cover(uncoveredLeaf{}, Coverage{Serialized: []string{"nope"}})
 }
 
+// blobOf wraps payload in the current codec header: the store serves
+// only blobs of this codec version.
+func blobOf(payload string) []byte {
+	w := NewWriter()
+	w.Str(payload)
+	return append([]byte(nil), w.Bytes()...)
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(dir, 0)
@@ -165,7 +234,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest := "abcdef0123456789"
-	blob := []byte("checkpoint payload")
+	blob := blobOf("checkpoint payload")
 	if err := s.Put(digest, 1000, "key-at-1000", blob); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -194,7 +263,7 @@ func TestStoreFindLongestPrefix(t *testing.T) {
 	}
 	digest := "feedface00112233"
 	for _, c := range []int64{500, 1500, 2500} {
-		if err := s.Put(digest, c, "k", []byte("blob")); err != nil {
+		if err := s.Put(digest, c, "k", blobOf("blob")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +294,7 @@ func TestStoreDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest := "deadbeefcafef00d"
-	if err := s.Put(digest, 100, "k", []byte("payload")); err != nil {
+	if err := s.Put(digest, 100, "k", blobOf("payload")); err != nil {
 		t.Fatal(err)
 	}
 	path := s.path(digest, 100)
@@ -251,7 +320,7 @@ func TestStoreDetectsCorruption(t *testing.T) {
 func TestStoreEviction(t *testing.T) {
 	dir := t.TempDir()
 	// Cap small enough that only ~2 of the 4 entries fit.
-	blob := make([]byte, 1024)
+	blob := blobOf(string(make([]byte, 1000)))
 	s, err := NewStore(dir, 2600)
 	if err != nil {
 		t.Fatal(err)
@@ -288,5 +357,33 @@ func TestStoreEviction(t *testing.T) {
 	matches, _ := filepath.Glob(filepath.Join(dir, "*", ".snap-*"))
 	if len(matches) != 0 {
 		t.Errorf("stray temp files: %v", matches)
+	}
+}
+
+// TestStoreStaleEntryMisses checks that an intact entry holding a blob
+// of an older codec version is a miss: deleted, counted as stale (not
+// corrupt), and never served.
+func TestStoreStaleEntryMisses(t *testing.T) {
+	s, err := NewStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := "0123456789abcdef"
+	v1 := []byte{'N', 'O', 'C', 'S', 'N', 'A', 'P', '1', 1, 0, 0, 0, 0xA7, 0x30}
+	if err := s.Put(digest, 100, "k", v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(digest, 100, "k"); ok {
+		t.Fatal("NOCSNAP1 entry served")
+	}
+	if _, err := os.Stat(s.path(digest, 100)); !os.IsNotExist(err) {
+		t.Error("stale entry not deleted")
+	}
+	if _, ok := s.Find(digest, 100); ok {
+		t.Error("Find still reports the stale entry")
+	}
+	st := s.Stats()
+	if st.Stale != 1 || st.Corrupt != 0 || st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("stats = %+v, want 1 stale miss", st)
 	}
 }

@@ -27,7 +27,10 @@ import (
 // Writes are crash-safe (temp file + rename in the same directory) and
 // every file carries a sha256 trailer over its contents; a mismatch on
 // read counts as a corrupt entry, which is deleted and reported via
-// Stats — the repair path mirrors the result cache's.
+// Stats — the repair path mirrors the result cache's. An intact entry
+// whose blob is of another codec version (written before the last
+// Version bump) is stale: Get deletes it, counts it and misses, so the
+// caller recomputes instead of failing to decode it.
 type Store struct {
 	dir string
 	cap int64 // max total bytes; 0 = unlimited
@@ -37,6 +40,7 @@ type Store struct {
 	misses  int64
 	writes  int64
 	corrupt int64
+	stale   int64
 	evicted int64
 }
 
@@ -48,6 +52,7 @@ type StoreStats struct {
 	Misses  int64
 	Writes  int64
 	Corrupt int64
+	Stale   int64
 	Evicted int64
 }
 
@@ -118,17 +123,26 @@ func (s *Store) Put(digest string, cycle int64, key string, blob []byte) error {
 }
 
 // Get loads the checkpoint of digest at exactly the given cycle. The
-// second return is false when no (intact) entry exists; a corrupt
-// entry is deleted, counted, and reported as a miss.
+// second return is false when no (intact, current-version) entry
+// exists; a corrupt or stale entry is deleted, counted, and reported
+// as a miss.
 func (s *Store) Get(digest string, cycle int64, key string) ([]byte, bool) {
 	if len(digest) < 3 {
 		return nil, false
 	}
-	blob, err := s.read(s.path(digest, cycle), key)
+	path := s.path(digest, cycle)
+	blob, err := s.read(path, key)
+	stale := err == nil && CheckHeader(blob) != nil
+	if stale {
+		os.Remove(path)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err != nil {
-		if !os.IsNotExist(err) {
+	if err != nil || stale {
+		switch {
+		case stale:
+			s.stale++
+		case !os.IsNotExist(err):
 			s.corrupt++
 		}
 		s.misses++
@@ -284,7 +298,7 @@ func (s *Store) Stats() StoreStats {
 	}
 	s.mu.Lock()
 	st.Hits, st.Misses, st.Writes = s.hits, s.misses, s.writes
-	st.Corrupt, st.Evicted = s.corrupt, s.evicted
+	st.Corrupt, st.Stale, st.Evicted = s.corrupt, s.stale, s.evicted
 	s.mu.Unlock()
 	return st
 }
